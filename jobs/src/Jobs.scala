@@ -3,61 +3,37 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.bench.{Harness, Tables}
 
-/** spark-submit entrypoints, one per reproduced table/figure.
+/** spark-submit entrypoint for every reproduced table/figure:
   *
-  *   sbt "jobs/runMain repro.jobs.OverallJob [scale]"
+  *   sbt "jobs/runMain repro.jobs.Jobs <table> [scale]"
   *
-  * Each prints the same markdown table its bench-suite twin produces.
+  * It prints the same markdown table the table's bench suite produces.
   */
 object Jobs {
-  def session(): SparkSession = SparkSession.builder()
-    .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-    .appName("layph-repro")
-    .config("spark.sql.shuffle.partitions", "64")
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
-    .getOrCreate()
+  private val tables: Map[String, (SparkSession, Double) => Unit] = Map(
+    "datasets"    -> ((s, x) => println(Tables.datasets(s, x))),
+    "overall"     -> ((s, x) => { println(Tables.overall(s, x)); println(Tables.vertexUpdates(s, x)) }),
+    "breakdown"   -> ((s, x) => println(Tables.breakdown(s, x))),
+    "replication" -> ((s, x) => println(Tables.replication(s, x))),
+    "scaling"     -> ((s, x) => println(Tables.threadScaling(s, x))),
+    "batchsize"   -> ((s, x) => println(Tables.batchSize(s, x))),
+    "overhead"    -> ((s, x) => println(Tables.overhead(s, x))),
+  )
 
-  def scaleOf(args: Array[String]): Double =
-    args.headOption.map(_.toDouble).getOrElse(Harness.benchScale)
-}
-
-object DatasetStatsJob {
-  def main(args: Array[String]): Unit = { val s = Jobs.session(); println(Tables.datasets(s, Jobs.scaleOf(args))); s.stop() }
-}
-
-object OverallJob {
   def main(args: Array[String]): Unit = {
-    val s = Jobs.session()
-    println(Tables.overall(s, Jobs.scaleOf(args)))
-    println(Tables.vertexUpdates(s, Jobs.scaleOf(args)))
+    val table = args.headOption.flatMap(tables.get).getOrElse {
+      System.err.println(
+        s"usage: repro.jobs.Jobs <${tables.keys.toSeq.sorted.mkString("|")}> [scale]")
+      sys.exit(2)
+    }
+    val scale = args.lift(1).map(_.toDouble).getOrElse(Harness.benchScale)
+    val s = SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("layph-repro")
+      .config("spark.sql.shuffle.partitions", "64")
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+    table(s, scale)
     s.stop()
   }
-}
-
-object BreakdownJob {
-  def main(args: Array[String]): Unit = { val s = Jobs.session(); println(Tables.breakdown(s, Jobs.scaleOf(args))); s.stop() }
-}
-
-object ReplicationJob {
-  def main(args: Array[String]): Unit = { val s = Jobs.session(); println(Tables.replication(s, Jobs.scaleOf(args))); s.stop() }
-}
-
-/** True thread scaling: one SparkSession per local[n], n in 1..16 —
-  * closest analog of the paper's 1-32 worker threads (Figure 9).
-  * Run standalone: each round stops the previous session.
-  */
-object ThreadScalingJob {
-  def main(args: Array[String]): Unit = {
-    val s = Jobs.session()
-    println(Tables.threadScaling(s, Jobs.scaleOf(args)))
-    s.stop()
-  }
-}
-
-object BatchSizeJob {
-  def main(args: Array[String]): Unit = { val s = Jobs.session(); println(Tables.batchSize(s, Jobs.scaleOf(args))); s.stop() }
-}
-
-object OverheadJob {
-  def main(args: Array[String]): Unit = { val s = Jobs.session(); println(Tables.overhead(s, Jobs.scaleOf(args))); s.stop() }
 }

@@ -84,7 +84,5 @@ object Harness {
     (fmt(header) +: widths.map("-" * _).mkString("| ", " | ", " |") +: rows.map(fmt)).mkString("\n")
   }
 
-  def ratio(x: Long, base: Long): String = if (base == 0) "-" else f"${x.toDouble / base}%.2f"
-
   def benchScale: Double = sys.env.get("BENCH_SCALE").map(_.toDouble).getOrElse(1.0)
 }

@@ -73,6 +73,12 @@ trait VCAlgo extends Serializable {
   /** Initial message m_v^0 for a root vertex v. */
   def initMsg(v: Long): Double
 
+  /** The initial messages M0 of a run over `vertices`: one per root, or one
+    * per vertex when every vertex is a root.
+    */
+  final def initialMessages(vertices: Iterable[Long]): Seq[(Long, Double)] =
+    roots.getOrElse(vertices).toSeq.map(v => v -> initMsg(v))
+
   /** Vertices that absorb incoming messages (never re-emit nor apply them).
     * PHP penalizes walks returning to the query root; the root's state is
     * pinned by its initial message instead.

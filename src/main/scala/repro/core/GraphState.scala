@@ -36,8 +36,6 @@ final class GraphState private (
   def numVertices: Int = verts.size
   def numEdges: Long = out.valuesIterator.map(_.size.toLong).sum
 
-  def outDeg(u: Long): Int = out.get(u).map(_.size).getOrElse(0)
-  def sumW(u: Long): Double = out.get(u).map(_.valuesIterator.sum).getOrElse(0.0)
   def hasEdge(u: Long, v: Long): Boolean = out.get(u).exists(_.contains(v))
   def weight(u: Long, v: Long): Option[Double] = out.get(u).flatMap(_.get(v))
 
@@ -77,31 +75,22 @@ final class GraphState private (
     effective.result()
   }
 
-  /** Algorithm-weighted forward adjacency: u -> [(v, F-weight)]. */
-  def adjacency(algo: VCAlgo): Map[Long, Array[(Long, Double)]] = {
-    val b = Map.newBuilder[Long, Array[(Long, Double)]]
-    out.foreach { case (u, m) =>
-      if (m.nonEmpty) {
+  /** Algorithm-weighted out-row of u: each raw weight becomes the F-weight
+    * `algo.edgeWeight(raw, N_u, W_u)` from u's current out-degree stats.
+    * This is the only place raw rows are weighted; every adjacency an engine
+    * propagates over is built from it.
+    */
+  def weightedRow(u: Long, algo: VCAlgo): Array[(Long, Double)] =
+    out.get(u) match {
+      case Some(m) if m.nonEmpty =>
         val n = m.size; val sw = m.valuesIterator.sum
-        b += u -> m.iterator.map { case (v, w) => (v, algo.edgeWeight(w, n, sw)) }.toArray
-      }
+        m.iterator.map { case (v, w) => (v, algo.edgeWeight(w, n, sw)) }.toArray
+      case _ => Array.empty
     }
-    b.result()
-  }
 
-  /** Algorithm-weighted reverse adjacency: v -> [(u, F-weight of (u,v))]. */
-  def reverseAdjacency(algo: VCAlgo): Map[Long, Array[(Long, Double)]] = {
-    val rev = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
-    out.foreach { case (u, m) =>
-      if (m.nonEmpty) {
-        val n = m.size; val sw = m.valuesIterator.sum
-        m.foreach { case (v, w) =>
-          rev.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((u, algo.edgeWeight(w, n, sw)))
-        }
-      }
-    }
-    rev.iterator.map { case (v, b) => (v, b.toArray) }.toMap
-  }
+  /** Algorithm-weighted forward adjacency: every non-empty [[weightedRow]]. */
+  def adjacency(algo: VCAlgo): Adjacency =
+    out.keysIterator.map(u => u -> weightedRow(u, algo)).filter(_._2.nonEmpty).toMap
 
   def copyGraph(): GraphState = {
     val o2 = mutable.LongMap.empty[mutable.LongMap[Double]]

@@ -97,12 +97,9 @@ object LocalEngine {
   def batch(algo: VCAlgo, g: GraphState, maxIter: Int = Int.MaxValue): LocalRun = {
     val adjMap = g.adjacency(algo)
     val states = mutable.LongMap.empty[Double]
-    g.vertices.foreach(v => states(v) = algo.defaultState)
-    val seeds = algo.roots match {
-      case Some(rs) => rs.toSeq.map(v => v -> algo.initMsg(v))
-      case None     => g.vertices.toSeq.map(v => v -> algo.initMsg(v))
-    }
-    run(algo, adjMap.getOrElse(_, Array.empty), states, seeds,
+    val vs = g.vertices
+    vs.foreach(v => states(v) = algo.defaultState)
+    run(algo, adjMap.getOrElse(_, Array.empty), states, algo.initialMessages(vs),
       absorbing = algo.absorbing, maxIter = maxIter)
   }
 }

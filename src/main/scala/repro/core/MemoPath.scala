@@ -29,7 +29,7 @@ object MemoPath {
     * Roots and unreachable vertices have no parent.
     */
   def computeParents(
-      radj: Map[Long, Array[(Long, Double)]],
+      radj: Adjacency,
       states: mutable.LongMap[Double],
   ): mutable.LongMap[Long] = {
     val parents = mutable.LongMap.empty[Long]
@@ -68,7 +68,7 @@ object MemoPath {
     * the conservative invalidation region modeling KickStarter's trimming.
     */
   def forwardClosure(
-      adj: Map[Long, Array[(Long, Double)]],
+      adj: Adjacency,
       seeds: Set[Long],
       cap: Int = Int.MaxValue,
   ): Set[Long] = {
@@ -100,21 +100,18 @@ object MemoPath {
     *                     the exact tree subtree (KickStarter's trimming)
     * @param extraInvalid additional vertices to invalidate (Layph: skeleton
     *                     vertices whose shortcut support weakened)
-    * @param extraSeeds   additional revision messages (Layph: new shortcut
-    *                     candidates uploaded from updated subgraphs)
     */
   def incremental(
       algo: VCAlgo,
       engine: SparkEngine,
-      adj: Map[Long, Array[(Long, Double)]],
-      adjBc: Broadcast[Map[Long, Array[(Long, Double)]]],
-      radj: Map[Long, Array[(Long, Double)]],
+      adj: Adjacency,
+      adjBc: Broadcast[Adjacency],
+      radj: Adjacency,
       states: mutable.LongMap[Double],
       parents: mutable.LongMap[Long],
       changes: Seq[EdgeChange],
       conservative: Boolean = false,
       extraInvalid: Set[Long] = Set.empty,
-      extraSeeds: Seq[(Long, Double)] = Nil,
   ): IncResult = {
     val t0 = System.nanoTime()
     var pullActs = 0L
@@ -168,7 +165,6 @@ object MemoPath {
         if (xu.isFinite) { pullActs += 1; offer(c.dst, algo.gen(xu, c.w)) }
       }
     }
-    extraSeeds.foreach { case (v, m) => offer(v, m) }
 
     // 4. propagate to the new fixpoint on the distributed engine
     val run = engine.run(algo, adjBc, states, seeds.toSeq, absorbing = algo.absorbing)

@@ -36,7 +36,7 @@ final class SparkEngine(spark: SparkSession, val numPartitions: Int = 8) extends
     */
   def run(
       algo: VCAlgo,
-      adjBc: Broadcast[Map[Long, Array[(Long, Double)]]],
+      adjBc: Broadcast[Adjacency],
       states0: mutable.LongMap[Double],
       seeds: Iterable[(Long, Double)],
       emitThreshold: Double = Double.NaN,
@@ -124,12 +124,10 @@ final class SparkEngine(spark: SparkSession, val numPartitions: Int = 8) extends
   def batch(algo: VCAlgo, g: GraphState, maxIter: Int = Int.MaxValue): SparkRun = {
     val adjBc = sc.broadcast(g.adjacency(algo))
     val states0 = mutable.LongMap.empty[Double]
-    g.vertices.foreach(v => states0(v) = algo.defaultState)
-    val seeds = algo.roots match {
-      case Some(rs) => rs.toSeq.map(v => v -> algo.initMsg(v))
-      case None     => g.vertices.toSeq.map(v => v -> algo.initMsg(v))
-    }
-    val r = run(algo, adjBc, states0, seeds, absorbing = algo.absorbing, maxIter = maxIter)
+    val vs = g.vertices
+    vs.foreach(v => states0(v) = algo.defaultState)
+    val r = run(algo, adjBc, states0, algo.initialMessages(vs),
+      absorbing = algo.absorbing, maxIter = maxIter)
     adjBc.destroy()
     r
   }

@@ -1,7 +1,7 @@
 package repro.layph
 
 import scala.collection.mutable
-import repro.core.{GraphState, VCAlgo}
+import repro.core.{Adjacency, GraphState, VCAlgo}
 
 /** Tunables of the layered-graph construction. */
 final case class LayphConfig(
@@ -127,7 +127,7 @@ object Layering {
   /** Algorithm-weighted adjacency of the *effective* graph: the raw graph
     * with proxy rewiring applied.
     *
-    * Weights are computed from the RAW out-degree statistics (so PageRank's
+    * Weights are the raw graph's [[GraphState.weightedRow]]s (so PageRank's
     * `d/N_u` is preserved under rewiring), then each edge is routed:
     *
     *  - `h -> t` with an entry proxy `p=(h, sg(t))`: becomes `p -> t` at the
@@ -145,33 +145,29 @@ object Layering {
       algo: VCAlgo,
       memb: mutable.LongMap[Int],
       repl: Replication,
-  ): Map[Long, Array[(Long, Double)]] = {
+  ): Adjacency = {
     val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
     def add(u: Long, v: Long, w: Double): Unit =
       acc.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += ((v, w))
     val transparent = mutable.Set.empty[(Long, Long)] // emitted identity links
 
-    g.out.foreach { case (u, outs) =>
-      if (outs.nonEmpty) {
-        val n = outs.size; val sw = outs.valuesIterator.sum
-        val mu = memb.get(u)
-        outs.foreach { case (v, raw) =>
-          val w = algo.edgeWeight(raw, n, sw)
-          val mv = memb.get(v)
-          val viaIn = mv.flatMap { i => if (!mu.contains(i)) repl.inProxy.get((u, i)) else None }
-          viaIn match {
-            case Some(p) =>
-              add(p, v, w)
-              if (transparent.add((u, p))) add(u, p, algo.one)
-            case None =>
-              val viaOut = mu.flatMap { i => if (!mv.contains(i)) repl.outProxy.get((v, i)) else None }
-              viaOut match {
-                case Some(p) =>
-                  add(u, p, w)
-                  if (transparent.add((p, v))) add(p, v, algo.one)
-                case None => add(u, v, w)
-              }
-          }
+    g.out.keysIterator.foreach { u =>
+      val mu = memb.get(u)
+      g.weightedRow(u, algo).foreach { case (v, w) =>
+        val mv = memb.get(v)
+        val viaIn = mv.flatMap { i => if (!mu.contains(i)) repl.inProxy.get((u, i)) else None }
+        viaIn match {
+          case Some(p) =>
+            add(p, v, w)
+            if (transparent.add((u, p))) add(u, p, algo.one)
+          case None =>
+            val viaOut = mu.flatMap { i => if (!mv.contains(i)) repl.outProxy.get((v, i)) else None }
+            viaOut match {
+              case Some(p) =>
+                add(u, p, w)
+                if (transparent.add((p, v))) add(p, v, algo.one)
+              case None => add(u, v, w)
+            }
         }
       }
     }
@@ -182,7 +178,7 @@ object Layering {
     * effective adjacency. Proxies classify like any other member.
     */
   def roles(
-      adj: Map[Long, Array[(Long, Double)]],
+      adj: Adjacency,
       memb: mutable.LongMap[Int],
       numSubgraphs: Int,
   ): Array[Roles] = {

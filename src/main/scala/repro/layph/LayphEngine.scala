@@ -46,9 +46,9 @@ final class LayphEngine(
   private var numSg = 0
   private var sgs: Array[SubgraphData] = _
   private var rolesArr: Array[Roles] = _ // tracked boundary, grows monotonically
-  private var effAdj: Map[Long, Array[(Long, Double)]] = _
+  private var effAdj: Adjacency = _
   private var states: mutable.LongMap[Double] = _
-  private var skelAdj: Map[Long, Array[(Long, Double)]] = _
+  private var skelAdj: Adjacency = _
   private var upperParents: mutable.LongMap[Long] = _
 
   /** One-off layered-graph construction cost (Figure 11b). */
@@ -83,7 +83,7 @@ final class LayphEngine(
     * we include entry -> entry so in-subgraph support of boundary states
     * flows on the skeleton too, which Theorems 1-2 implicitly need).
     */
-  private def buildSkeleton(): Map[Long, Array[(Long, Double)]] = {
+  private def buildSkeleton(): Adjacency = {
     val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
     def add(u: Long, v: Long, w: Double): Unit =
       acc.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += ((v, w))
@@ -114,14 +114,6 @@ final class LayphEngine(
       }
     }
     acc.iterator.map { case (u, b) => (u, b.toArray) }.toMap
-  }
-
-  private def reverse(adj: Map[Long, Array[(Long, Double)]]): Map[Long, Array[(Long, Double)]] = {
-    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
-    adj.foreach { case (u, outs) =>
-      outs.foreach { case (v, w) => acc.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((u, w)) }
-    }
-    acc.iterator.map { case (v, b) => (v, b.toArray) }.toMap
   }
 
   private def skeletonAbsorbing: Set[Long] =
@@ -182,9 +174,8 @@ final class LayphEngine(
         val skelV = skeletonVerts
         val sub = mutable.LongMap.empty[Double]
         skelV.foreach(v => sub(v) = algo.defaultState)
-        val seeds = algo.roots.get.toSeq.map(v => v -> algo.initMsg(v))
         val adjBc = sc.broadcast(skelAdj)
-        val run = engine.run(algo, adjBc, sub, seeds, absorbing = algo.absorbing)
+        val run = engine.run(algo, adjBc, sub, algo.initialMessages(skelV), absorbing = algo.absorbing)
         adjBc.destroy()
         run.states.foreach { case (v, x) => states(v) = x }
         upperParents = MemoPath.computeParents(reverse(skelAdj), run.states)
@@ -585,9 +576,8 @@ final class LayphEngine(
 
   /** Upper-layer size (vertices, edges incl. shortcuts) — Figure 8a. */
   def upperLayerSize: (Int, Long) = {
-    val nV = skeletonVerts.size
     val nE = skelAdj.valuesIterator.map(_.length.toLong).sum
-    (if (minPlus) nV else nV, if (minPlus) nE else nE / 2) // split nodes double-count sum edges
+    (skeletonVerts.size, if (minPlus) nE else nE / 2) // split nodes double-count sum edges
   }
 
   def subgraphStats: Seq[(Int, Int, Int, Int)] =

@@ -1,7 +1,7 @@
 package repro.layph
 
 import scala.collection.mutable
-import repro.core.{LocalEngine, MinPlus, VCAlgo}
+import repro.core.{Adjacency, LocalEngine, MinPlus, VCAlgo}
 
 /** One dense subgraph of the lower layer, plus Layph's memoized per-
   * subgraph decomposition.
@@ -22,38 +22,44 @@ final case class SubgraphData(
     id: Int,
     verts: Array[Long],                 // sorted members (incl. proxies)
     idx: Map[Long, Int],                // global id -> local index
-    adj: Array[Array[(Int, Double)]],   // algo-weighted E_i over local indices
+    adj: Array[Array[(Long, Double)]],  // algo-weighted E_i over local indices
     entries: Array[Long],               // tracked entries (monotone growing)
     exits: Array[Long],                 // tracked exits (monotone growing)
     rows: Array[Array[Double]],         // rows(k)(j): shortcut entries(k) -> verts(j)
     lvec: Array[Double],                // L(j)
     mHist: Array[Double],               // accumulated external inbox per entry k
-) {
-  def entryIndex(e: Long): Int = entries.indexOf(e)
-  def internals(roleEntries: Set[Long], roleExits: Set[Long]): Array[Long] =
-    verts.filterNot(v => roleEntries.contains(v) || roleExits.contains(v))
-}
+)
 
 object Subgraphs {
 
   /** Extracts the structural part of subgraph `i` from the effective
-    * adjacency (edges with both endpoints in the subgraph).
+    * adjacency (edges with both endpoints in the subgraph), over local
+    * indices in the form [[LocalEngine]] reads.
     */
   def structure(
       i: Int,
       members: Array[Long],
-      effAdj: Map[Long, Array[(Long, Double)]],
+      effAdj: Adjacency,
       memb: mutable.LongMap[Int],
-  ): (Array[Long], Map[Long, Int], Array[Array[(Int, Double)]]) = {
+  ): (Array[Long], Map[Long, Int], Array[Array[(Long, Double)]]) = {
     val verts = members.sorted
     val idx = verts.zipWithIndex.map { case (v, j) => v -> j }.toMap
-    val adj = Array.fill(verts.length)(Array.empty[(Int, Double)])
+    val adj = Array.fill(verts.length)(Array.empty[(Long, Double)])
     verts.indices.foreach { j =>
       effAdj.get(verts(j)).foreach { outs =>
-        adj(j) = outs.collect { case (t, w) if memb.get(t).contains(i) => (idx(t), w) }
+        adj(j) = outs.collect { case (t, w) if memb.get(t).contains(i) => (idx(t).toLong, w) }
       }
     }
     (verts, idx, adj)
+  }
+
+  /** Shortcut row of one entry (Equation 6): a local run from the entry
+    * with the unit message `one`.
+    */
+  private def deduceRow(algo: VCAlgo, adj: Array[Array[(Long, Double)]], entry: Int): (Array[Double], Long) = {
+    val states = mutable.LongMap.empty[Double]
+    val run = LocalEngine.run(algo, v => adj(v.toInt), states, Seq(entry.toLong -> algo.one))
+    (Array.tabulate(adj.length)(j => states.getOrElse(j.toLong, algo.defaultState)), run.stats.activations)
   }
 
   /** Shortcut rows (Equation 6) and the local root-mass vector L, both by
@@ -68,21 +74,17 @@ object Subgraphs {
     */
   def computeRowsAndL(
       algo: VCAlgo,
-      adj: Array[Array[(Int, Double)]],
+      adj: Array[Array[(Long, Double)]],
       entryIdxs: Array[Int],
       m0vec: Array[Double],
   ): (Array[Array[Double]], Array[Double], Long) = {
     val n = adj.length
-    val longAdj: Array[Array[(Long, Double)]] =
-      adj.map(_.map { case (t, w) => (t.toLong, w) })
-    val lookup: Long => Array[(Long, Double)] = v => longAdj(v.toInt)
     var acts = 0L
 
     val rows = entryIdxs.map { e =>
-      val states = mutable.LongMap.empty[Double]
-      val run = LocalEngine.run(algo, lookup, states, Seq(e.toLong -> algo.one))
-      acts += run.stats.activations
-      Array.tabulate(n)(j => states.getOrElse(j.toLong, if (algo.kind == MinPlus) algo.defaultState else 0.0))
+      val (row, a) = deduceRow(algo, adj, e)
+      acts += a
+      row
     }
 
     val lvec =
@@ -90,7 +92,7 @@ object Subgraphs {
       else {
         val states = mutable.LongMap.empty[Double]
         val seeds = (0 until n).collect { case j if m0vec(j) != 0.0 => j.toLong -> m0vec(j) }
-        val run = LocalEngine.run(algo, lookup, states, seeds)
+        val run = LocalEngine.run(algo, v => adj(v.toInt), states, seeds)
         acts += run.stats.activations
         Array.tabulate(n)(j => states.getOrElse(j.toLong, 0.0))
       }
@@ -120,7 +122,7 @@ object Subgraphs {
     */
   def updateRowsAndL(
       algo: VCAlgo,
-      adj: Array[Array[(Int, Double)]],
+      adj: Array[Array[(Long, Double)]],
       entryIdxs: Array[Int],
       oldRows: Array[Array[Double]],
       oldL: Array[Double],
@@ -129,9 +131,7 @@ object Subgraphs {
   ): (Array[Array[Double]], Array[Double], Long) = {
     val n = adj.length
     val minPlus = algo.kind == MinPlus
-    val longAdj: Array[Array[(Long, Double)]] =
-      adj.map(_.map { case (t, w) => (t.toLong, w) })
-    val lookup: Long => Array[(Long, Double)] = v => longAdj(v.toInt)
+    val lookup: Long => Array[(Long, Double)] = v => adj(v.toInt)
     var acts = 0L
     @inline def tol(x: Double) = 1e-9 * math.max(1.0, math.abs(x))
 
@@ -139,11 +139,11 @@ object Subgraphs {
     // only MinPlus rows with broken support need them
     lazy val rin: Array[Array[(Int, Double)]] = {
       val b = Array.fill(n)(mutable.ArrayBuffer.empty[(Int, Double)])
-      (0 until n).foreach(u => adj(u).foreach { case (v, w) => b(v) += ((u, w)) })
+      (0 until n).foreach(u => adj(u).foreach { case (v, w) => b(v.toInt) += ((u, w)) })
       b.map(_.toArray)
     }
     lazy val oldAdj: Array[Array[(Int, Double)]] = {
-      val m = adj.map(outs => mutable.LongMap.from(outs.map { case (v, w) => (v.toLong, w) }))
+      val m = adj.map(mutable.LongMap.from(_))
       changes.foreach { case (u, v, wo, _) =>
         if (wo.isFinite && wo != 0.0) m(u)(v.toLong) = wo else m(u).remove(v.toLong)
       }
@@ -221,10 +221,9 @@ object Subgraphs {
     val rows = entryIdxs.indices.map { k =>
       if (oldRows(k).isEmpty) {
         // a brand-new entry has no memoized row yet — deduce it fresh
-        val states = mutable.LongMap.empty[Double]
-        val run = LocalEngine.run(algo, lookup, states, Seq(entryIdxs(k).toLong -> algo.one))
-        acts += run.stats.activations
-        Array.tabulate(n)(j => states.getOrElse(j.toLong, if (minPlus) algo.defaultState else 0.0))
+        val (row, a) = deduceRow(algo, adj, entryIdxs(k))
+        acts += a
+        row
       } else reviseVector(oldRows(k), entryIdxs(k))
     }.toArray
 

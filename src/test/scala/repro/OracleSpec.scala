@@ -1,34 +1,32 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.core.GraphGen
 
 class OracleSpec extends SparkSpec {
 
+  private def edges = GraphGen.random(60, 3.0, 31).toDF(spark)
+  private val outDegreeSql = "SELECT src, COUNT(*) AS n FROM edges GROUP BY src"
+
   test("oracle accepts a matching aggregate") {
-    val df = SynthData.customer(spark, 0.001)
-    val got = df.groupBy("c_mktsegment").agg(count(lit(1)).as("n"))
-    Oracle.assertEquivalent(got,
-      "SELECT c_mktsegment, COUNT(*) AS n FROM customer GROUP BY c_mktsegment",
-      "customer" -> df)
+    val df = edges
+    val got = df.groupBy("src").agg(count(lit(1)).as("n"))
+    Oracle.assertEquivalent(got, outDegreeSql, "edges" -> df)
   }
 
   test("oracle rejects a wrong result") {
-    val df = SynthData.customer(spark, 0.001)
-    val wrong = df.groupBy("c_mktsegment").agg((count(lit(1)) + 1).as("n"))
+    val df = edges
+    val wrong = df.groupBy("src").agg((count(lit(1)) + 1).as("n"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong,
-        "SELECT c_mktsegment, COUNT(*) AS n FROM customer GROUP BY c_mktsegment",
-        "customer" -> df)
+      Oracle.assertEquivalent(wrong, outDegreeSql, "edges" -> df)
     }
   }
 
   test("oracle rejects a column mismatch") {
-    val df = SynthData.customer(spark, 0.001)
-    val got = df.groupBy("c_mktsegment").agg(count(lit(1)).as("wrong_name"))
+    val df = edges
+    val got = df.groupBy("src").agg(count(lit(1)).as("wrong_name"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(got,
-        "SELECT c_mktsegment, COUNT(*) AS n FROM customer GROUP BY c_mktsegment",
-        "customer" -> df)
+      Oracle.assertEquivalent(got, outDegreeSql, "edges" -> df)
     }
   }
 }

@@ -46,12 +46,13 @@ class GraphStateSpec extends SparkSpec {
 
   test("reverse adjacency mirrors the forward one") {
     val g = GraphGen.random(40, 3.0, 3)
-    val algo = SSSP(0)
-    val fwd = g.adjacency(algo)
-    val rev = g.reverseAdjacency(algo)
-    val fwdPairs = fwd.toSeq.flatMap { case (u, outs) => outs.map { case (v, w) => (u, v, w) } }.toSet
-    val revPairs = rev.toSeq.flatMap { case (v, ins) => ins.map { case (u, w) => (u, v, w) } }.toSet
-    assert(fwdPairs == revPairs)
+    for (algo <- Seq(SSSP(0), PageRank())) {
+      val fwd = g.adjacency(algo)
+      val rev = reverse(fwd)
+      val fwdPairs = fwd.toSeq.flatMap { case (u, outs) => outs.map { case (v, w) => (u, v, w) } }
+      val revPairs = rev.toSeq.flatMap { case (v, ins) => ins.map { case (u, w) => (u, v, w) } }
+      assert(fwdPairs.size == revPairs.size && fwdPairs.toSet == revPairs.toSet, algo.name)
+    }
   }
 
   test("copyGraph isolates mutations") {

@@ -15,7 +15,7 @@ class MemoPathSpec extends SparkSpec {
     val g = GraphGen.random(80, 3.0, 5)
     val algo = SSSP(0)
     val run = LocalEngine.batch(algo, g)
-    val parents = MemoPath.computeParents(g.reverseAdjacency(algo), run.states)
+    val parents = MemoPath.computeParents(reverse(g.adjacency(algo)), run.states)
     run.states.foreach { case (v, x) =>
       if (v != 0L && x.isFinite) {
         val p = parents.get(v)
@@ -45,13 +45,13 @@ class MemoPathSpec extends SparkSpec {
       val g = GraphGen.random(90, 3.0, seed * 11)
       val algo = SSSP(0)
       val batch = LocalEngine.batch(algo, g)
-      val parents = MemoPath.computeParents(g.reverseAdjacency(algo), batch.states)
+      val parents = MemoPath.computeParents(reverse(g.adjacency(algo)), batch.states)
       val delta = GraphGen.delta(g, 6, 6, seed * 17)
       val eff = g.applyDelta(delta)
       val changes = eff.map(u => MemoPath.EdgeChange(u.src, u.dst, algo.edgeWeight(u.w, 1, u.w), u.isAdd))
       val adj = g.adjacency(algo)
       val adjBc = spark.sparkContext.broadcast(adj)
-      val r = MemoPath.incremental(algo, engine, adj, adjBc, g.reverseAdjacency(algo),
+      val r = MemoPath.incremental(algo, engine, adj, adjBc, reverse(adj),
         batch.states, parents, changes, conservative = conservative)
       adjBc.destroy()
       val expect = LocalEngine.batch(algo, g)

@@ -104,13 +104,27 @@ class LayeringSpec extends SparkSpec {
     assert(shaped(0).entries.size == 1, s"expected 1 proxy entry, got ${shaped(0).entries}")
   }
 
+  private def algoNamed(name: String): VCAlgo = name match {
+    case "SSSP" => SSSP(0); case "BFS" => BFS(0)
+    case "PageRank" => PageRank(eps = 1e-9); case "PHP" => PHP(0, eps = 1e-9)
+  }
+
+  for (name <- Seq("SSSP", "BFS", "PageRank", "PHP")) {
+    test(s"effective graph without subgraphs or proxies is the weighted adjacency: $name") {
+      val g = GraphGen.community(4, 30, 8.0, 24, 51, nBursts = 8)
+      val algo = algoNamed(name)
+      def triples(adj: Adjacency) =
+        adj.toSeq.flatMap { case (u, outs) => outs.map { case (v, w) => (u, v, w) } }
+      val eff = triples(Layering.effectiveAdjacency(g, algo, mutable.LongMap.empty, Replication.none))
+      val direct = triples(g.adjacency(algo))
+      assert(eff.size == direct.size && eff.toSet == direct.toSet)
+    }
+  }
+
   for (name <- Seq("SSSP", "BFS", "PageRank", "PHP"); seed <- 1 to 2) {
     test(s"effective (replicated) graph preserves semantics: $name seed $seed") {
       val g = GraphGen.community(4, 30, 8.0, 24, seed * 51, nBursts = 8)
-      val algo: VCAlgo = name match {
-        case "SSSP" => SSSP(0); case "BFS" => BFS(0)
-        case "PageRank" => PageRank(eps = 1e-9); case "PHP" => PHP(0, eps = 1e-9)
-      }
+      val algo = algoNamed(name)
       val memb = Layering.selectDense(g, planted(g, 30), LayphConfig(),
         algo.roots.getOrElse(Set.empty))
       val repl = Layering.planReplication(g, memb, LayphConfig(replicationThreshold = 2))
@@ -119,14 +133,11 @@ class LayeringSpec extends SparkSpec {
       val adj = Layering.effectiveAdjacency(g, algo, memb, repl)
 
       val states = mutable.LongMap.empty[Double]
-      val seeds: Seq[(Long, Double)] = algo.roots match {
-        case Some(rs) => rs.toSeq.map(v => v -> algo.initMsg(v))
-        case None     => g.vertices.toSeq.map(v => v -> algo.initMsg(v)) // proxies carry no M0
-      }
       g.vertices.foreach(v => states(v) = algo.defaultState)
       repl.proxies.foreach(p => states(p.id) = algo.defaultState)
-      val run = LocalEngine.run(algo, adj.getOrElse(_, Array.empty), states, seeds,
-        absorbing = algo.absorbing)
+      // proxies carry no M0
+      val run = LocalEngine.run(algo, adj.getOrElse(_, Array.empty), states,
+        algo.initialMessages(g.vertices), absorbing = algo.absorbing)
       val raw = LocalEngine.batch(algo, g)
       val real = mutable.LongMap.empty[Double]
       run.states.foreach { case (v, x) => if (!repl.isProxy(v)) real(v) = x }

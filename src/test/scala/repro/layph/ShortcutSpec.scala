@@ -79,7 +79,7 @@ class ShortcutSpec extends AnyFunSuite {
       val expect = Array.fill(verts.length)(0.0)
       expect(e) = 1.0
       verts.indices.foreach { u =>
-        adj(u).foreach { case (v, w) => expect(v) += row(u) * w }
+        adj(u).foreach { case (v, w) => expect(v.toInt) += row(u) * w }
       }
       verts.indices.foreach { j =>
         assert(math.abs(row(j) - expect(j)) < 1e-6, s"fixed point at local $j")
@@ -93,7 +93,7 @@ class ShortcutSpec extends AnyFunSuite {
       // L(v) = m0 + sum_u L(u) * A(u,v)
       val expect = Array.fill(verts.length)(1.0 - 0.85)
       verts.indices.foreach { u =>
-        adj(u).foreach { case (v, w) => expect(v) += lvec(u) * w }
+        adj(u).foreach { case (v, w) => expect(v.toInt) += lvec(u) * w }
       }
       verts.indices.foreach { j =>
         assert(math.abs(lvec(j) - expect(j)) < 1e-5, s"L fixed point at local $j")
